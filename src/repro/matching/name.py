@@ -24,7 +24,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.matching.base import Matcher, SimilarityMatrix
+from repro.matching.base import (
+    Matcher,
+    SimilarityMatrix,
+    checked_similarity,
+)
 from repro.matching.ngram import weighted_ngram_similarity
 from repro.matching.normalize import normalize_words
 from repro.model.query import QueryGraph
@@ -74,37 +78,34 @@ class NameMatcher(Matcher):
     def match(self, query: QueryGraph, candidate: Schema,
               profile: "SchemaMatchProfile | None" = None,
               scratch: "MatchScratch | None" = None) -> SimilarityMatrix:
-        matrix = self.empty_matrix(query, candidate,
-                                   profile=profile, scratch=scratch)
         query_pairs = self._query_pairs(query, scratch)
         if profile is not None:
             words_of = (profile.words_expanded if self._expand
                         else profile.words_plain)
-            candidate_pairs = [(path, words_of[path])
+            candidate_words = [words_of[path]
                                for path in profile.element_paths]
         else:
-            candidate_pairs = [
-                (path, tuple(normalize_words(name, expand=self._expand)))
-                for path, name, _kind in self.candidate_elements(candidate)
+            candidate_words = [
+                tuple(normalize_words(name, expand=self._expand))
+                for _path, name, _kind in self.candidate_elements(candidate)
             ]
-        sim_cache = scratch.name_sim_cache if scratch is not None else None
-        for row_label, query_words in query_pairs:
-            if not query_words:
-                continue
-            for col_label, cand_words in candidate_pairs:
-                if not cand_words:
-                    continue
-                if sim_cache is not None:
-                    key = (query_words, cand_words)
-                    score = sim_cache.get(key)
-                    if score is None:
-                        score = name_similarity(query_words, cand_words)
-                        sim_cache[key] = score
-                else:
-                    score = name_similarity(query_words, cand_words)
-                if score >= self._threshold:
-                    matrix.set(row_label, col_label, min(score, 1.0))
-        return matrix
+        threshold = self._threshold
+
+        def score_column(cand_words: tuple[str, ...]) -> tuple[float, ...]:
+            column = []
+            for row_label, query_words in query_pairs:
+                score = 0.0
+                if query_words and cand_words:
+                    similarity = name_similarity(query_words, cand_words)
+                    if similarity >= threshold:
+                        score = checked_similarity(
+                            min(similarity, 1.0), row_label, cand_words)
+                column.append(score)
+            return tuple(column)
+
+        return self.column_matrix(query, candidate, candidate_words,
+                                  score_column, profile=profile,
+                                  scratch=scratch)
 
     def _query_pairs(self, query: QueryGraph,
                      scratch: "MatchScratch | None"

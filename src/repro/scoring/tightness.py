@@ -23,11 +23,15 @@ drown any signal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import MatchError
 from repro.model.elements import ElementRef
 from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.matching.profile import SchemaMatchProfile
 
 
 #: Valid values of :attr:`PenaltyPolicy.aggregation`.
@@ -107,7 +111,7 @@ class TightnessScorer:
 
     def score(self, schema: Schema,
               element_scores: dict[str, float],
-              neighborhoods: NeighborhoodIndex | None = None
+              profile: "SchemaMatchProfile | None" = None
               ) -> TightnessResult:
         """Score ``schema`` given per-element match scores.
 
@@ -117,22 +121,33 @@ class TightnessScorer:
         paths raise :class:`MatchError`; a mismatched matrix is a
         programming error worth failing loudly on.
 
-        ``neighborhoods`` lets the caller supply a prebuilt
-        :class:`NeighborhoodIndex` (e.g. from a schema match profile) so
-        the FK transitive closure is not re-derived per candidate.
+        ``profile``, the schema's match profile, saves the per-candidate
+        derivations: a matched path resolves to its entity by one lookup
+        in ``profile.entity_of`` instead of a path parse and a scan of the
+        schema, and the FK transitive closure comes from the profile's
+        cached :class:`NeighborhoodIndex`.
         """
+        if profile is not None:
+            entity_for = profile.entity_of.get
+            neighborhoods = profile.neighborhood_index()
+        else:
+            def entity_for(path: str) -> str | None:
+                ref = ElementRef.parse(path)
+                return ref.entity if schema.has_element(ref) else None
+            neighborhoods = None
+        floor = self._policy.match_floor
         matched: dict[str, float] = {}
         entity_of: dict[str, str] = {}
         for path, value in element_scores.items():
-            if value <= self._policy.match_floor:
+            if value <= floor:
                 continue
-            ref = ElementRef.parse(path)
-            if not schema.has_element(ref):
+            entity = entity_for(path)
+            if entity is None:
                 raise MatchError(
                     f"element {path!r} does not exist in schema "
                     f"{schema.name!r}")
             matched[path] = min(value, 1.0)
-            entity_of[path] = ref.entity
+            entity_of[path] = entity
         if not matched:
             return TightnessResult(score=0.0, best_anchor=None)
 

@@ -841,6 +841,8 @@ class ShardedEngine:
                 scored.sort(
                     key=lambda r: (-r.score, -r.coarse_score, r.name))
                 page = scored[offset:offset + top_n]
+                for result in page:
+                    result.element_matches  # build the page's drill-ins
                 phase.items_out = len(page)
         except DeadlineExceeded as exc:
             logger.warning("sharded search degraded to phase-1 "

@@ -2,10 +2,15 @@
 
 Covers :class:`SchemaMatchProfile` correctness against the from-scratch
 computations, :class:`ProfileStore` cache behaviour, the golden
-equivalence of the cold / profiled / parallel engine paths, the
-one-adjacency-build-per-candidate regression, and the ensemble's cheap
-container properties.
+equivalence of the cold / profiled / parallel engine paths (on the
+worked-example schemas and on a generated corpus, down to matrix
+bytes), the one-adjacency-build-per-candidate regression, the checks
+the validate-once kernel must keep, and the ensemble's cheap container
+properties.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -13,13 +18,17 @@ import repro.matching.context as context_mod
 import repro.matching.profile as profile_mod
 import repro.scoring.neighborhood as neighborhood_mod
 from repro.core.config import SchemrConfig
+from repro.corpus.generator import CorpusGenerator
 from repro.core.engine import DictSchemaSource, SchemrEngine
+from repro.core.results import SearchResult
 from repro.errors import MatchError, RepositoryError, SchemaError
 from repro.index.documents import document_from_schema
 from repro.index.inverted import InvertedIndex
-from repro.matching.context import element_context
+from repro.matching.base import LabelAxis, SimilarityMatrix
+from repro.matching.context import ContextMatcher, element_context
 from repro.matching.datatype import type_family
 from repro.matching.ensemble import MatcherEnsemble
+from repro.matching.name import NameMatcher
 from repro.matching.normalize import normalize_words
 from repro.matching.profile import (
     MatchScratch,
@@ -27,7 +36,12 @@ from repro.matching.profile import (
     SchemaMatchProfile,
 )
 from repro.model.graph import entity_adjacency
+from repro.model.query import QueryGraph
+from repro.parsers.query_parser import parse_query
+from repro.repository.exporter import export_ddl, export_entity_ddl
+from repro.resilience.deadline import Deadline
 from repro.scoring.neighborhood import NeighborhoodIndex
+from repro.scoring.tightness import TightnessScorer
 
 from tests.conftest import (
     PAPER_KEYWORDS,
@@ -363,3 +377,279 @@ class TestEnsembleCheapProperties:
         with pytest.raises(MatchError):
             ensemble.set_weights({"name": 0.0, "context": 0.0})
         assert dict(ensemble.weights) == before
+
+
+# -- the match-phase kernel ------------------------------------------------
+
+def _generated_schemas():
+    schemas = {}
+    generator = CorpusGenerator(seed=11)
+    for schema_id, generated in enumerate(
+            generator.stream(60, include_junk=True), start=1):
+        generated.schema.schema_id = schema_id
+        schemas[schema_id] = generated.schema
+    return schemas
+
+
+def _generated_queries():
+    fragments = CorpusGenerator(seed=29).generate(3)
+    return [
+        {"keywords": PAPER_KEYWORDS},
+        {"keywords": "employee salary department manager"},
+        {"keywords": "species site observation date latitude"},
+        {"keywords": "customer order product price quantity"},
+        {"fragment": export_ddl(fragments[0].schema)},
+        {"fragment": export_entity_ddl(
+            next(iter(fragments[1].schema.entities.values())))},
+        {"keywords": "name address",
+         "fragment": export_ddl(fragments[2].schema)},
+    ]
+
+
+def _assert_same_matrix(fast, cold):
+    assert fast.row_labels == cold.row_labels
+    assert fast.col_labels == cold.col_labels
+    assert fast.values.dtype == cold.values.dtype
+    assert fast.values.tobytes() == cold.values.tobytes()
+
+
+class TestGeneratedCorpusGoldenEquivalence:
+    """The profiled kernel, the two-worker engine path and the cold path
+    give byte-identical matrices over a generated corpus, for keyword
+    and DDL-fragment queries alike."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        schemas = _generated_schemas()
+        index = InvertedIndex()
+        for schema in schemas.values():
+            index.add(document_from_schema(schema))
+        return schemas, index
+
+    def test_profiled_kernel_matches_cold_path(self, corpus):
+        schemas, _index = corpus
+        ensemble = MatcherEnsemble.default()
+        scorer = TightnessScorer()
+        profiles = {schema_id: SchemaMatchProfile.build(schema)
+                    for schema_id, schema in schemas.items()}
+        compared = 0
+        for kwargs in _generated_queries():
+            query = parse_query(**kwargs)
+            scratch = MatchScratch()
+            for schema_id, schema in schemas.items():
+                profile = profiles[schema_id]
+                cold = ensemble.match(query, schema)
+                fast = ensemble.match(query, schema, profile=profile,
+                                      scratch=scratch)
+                assert set(fast.per_matcher) == {"name", "context"}
+                for name, matrix in cold.per_matcher.items():
+                    _assert_same_matrix(fast.per_matcher[name], matrix)
+                _assert_same_matrix(fast.combined, cold.combined)
+                cold_scores = cold.combined.max_per_column()
+                fast_scores = fast.combined.max_per_column()
+                assert fast_scores == cold_scores
+                cold_tight = scorer.score(schema, cold_scores)
+                fast_tight = scorer.score(schema, fast_scores,
+                                          profile=profile)
+                assert fast_tight.score == cold_tight.score
+                assert fast_tight.best_anchor == cold_tight.best_anchor
+                compared += cold_tight.best_anchor is not None
+        assert compared > 20  # the queries really match the corpus
+
+    def test_two_worker_path_matches_cold_path(self, corpus):
+        schemas, index = corpus
+        ensemble = MatcherEnsemble.default()
+        scorer = TightnessScorer()
+        engine = SchemrEngine(
+            index=index, source=ProfileStore(DictSchemaSource(schemas)),
+            config=SchemrConfig(match_workers=2))
+        try:
+            for kwargs in _generated_queries():
+                query = parse_query(**kwargs)
+                hits = engine.searcher.search(
+                    query.flatten(), top_n=engine.config.candidate_pool)
+                assert len(hits) > 2
+                matched = engine._match_candidates(query, hits,
+                                                   Deadline(None))
+                assert [entry[0] for entry in matched] == hits
+                for hit, candidate, result, scores, profile in matched:
+                    cold = ensemble.match(query, schemas[hit.doc_id])
+                    for name, matrix in cold.per_matcher.items():
+                        _assert_same_matrix(result.per_matcher[name],
+                                            matrix)
+                    _assert_same_matrix(result.combined, cold.combined)
+                    cold_scores = cold.combined.max_per_column()
+                    assert scores == cold_scores
+                    cold_tight = scorer.score(candidate, cold_scores)
+                    fast_tight = scorer.score(candidate, scores,
+                                              profile=profile)
+                    assert fast_tight.score == cold_tight.score
+                    assert fast_tight.best_anchor == cold_tight.best_anchor
+        finally:
+            engine.close()
+
+    def test_engine_results_match_across_paths(self, corpus):
+        schemas, index = corpus
+        cold = SchemrEngine(index=index, source=DictSchemaSource(schemas))
+        fast = SchemrEngine(index=index,
+                            source=ProfileStore(DictSchemaSource(schemas)))
+        parallel = SchemrEngine(
+            index=index, source=ProfileStore(DictSchemaSource(schemas)),
+            config=SchemrConfig(match_workers=2))
+        try:
+            for kwargs in _generated_queries():
+                expected = _result_fingerprint(cold.search(**kwargs))
+                assert expected
+                assert _result_fingerprint(fast.search(**kwargs)) == expected
+                assert _result_fingerprint(
+                    parallel.search(**kwargs)) == expected
+        finally:
+            parallel.close()
+
+
+class TestKernelChecksSurviveFastPath:
+    """Validate-once construction keeps every check the per-matrix path
+    made."""
+
+    MATCHERS = (NameMatcher, ContextMatcher)
+
+    @pytest.fixture
+    def query(self):
+        return QueryGraph.build(keywords=PAPER_KEYWORDS)
+
+    @pytest.mark.parametrize("matcher_cls", MATCHERS)
+    def test_duplicate_row_label_raises(self, matcher_cls, query,
+                                        clinic_profile, clinic_schema,
+                                        monkeypatch):
+        monkeypatch.setattr(QueryGraph, "element_labels",
+                            lambda self: ["kw:dup"] * len(self.items))
+        with pytest.raises(MatchError, match="duplicate row labels"):
+            matcher_cls().match(query, clinic_schema,
+                                profile=clinic_profile,
+                                scratch=MatchScratch())
+
+    @pytest.mark.parametrize("matcher_cls", MATCHERS)
+    def test_duplicate_column_label_raises(self, matcher_cls, query,
+                                           clinic_profile, clinic_schema):
+        clinic_profile.element_paths.append(clinic_profile.element_paths[0])
+        with pytest.raises(MatchError, match="duplicate column labels"):
+            matcher_cls().match(query, clinic_schema,
+                                profile=clinic_profile,
+                                scratch=MatchScratch())
+
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_out_of_range_value_raises(self, profiled, query,
+                                       clinic_profile, clinic_schema,
+                                       monkeypatch):
+        monkeypatch.setattr(context_mod, "_jaccard", lambda a, b: 1.5)
+        kwargs = ({"profile": clinic_profile, "scratch": MatchScratch()}
+                  if profiled else {})
+        with pytest.raises(MatchError, match=r"must be in \[0, 1\]"):
+            ContextMatcher().match(query, clinic_schema, **kwargs)
+
+    def test_set_still_range_checks(self, clinic_profile):
+        matrix = SimilarityMatrix.from_axes(
+            LabelAxis(["kw:a"]), clinic_profile.column_axis())
+        with pytest.raises(MatchError):
+            matrix.set("kw:a", "patient", -0.1)
+
+    def test_profiled_tightness_rejects_unknown_path(self, clinic_schema,
+                                                     clinic_profile):
+        with pytest.raises(MatchError, match="does not exist"):
+            TightnessScorer().score(clinic_schema, {"ghost.height": 0.9},
+                                    profile=clinic_profile)
+
+    def test_axes_are_built_once(self, query, clinic_profile,
+                                 clinic_schema):
+        scratch = MatchScratch()
+        assert scratch.rows(query) is scratch.rows(query)
+        assert clinic_profile.column_axis() is clinic_profile.column_axis()
+        fast = MatcherEnsemble.default().match(
+            query, clinic_schema, profile=clinic_profile, scratch=scratch)
+        for matrix in [fast.combined, *fast.per_matcher.values()]:
+            assert matrix.row_labels is scratch.rows(query).labels
+            assert matrix.col_labels is clinic_profile.column_axis().labels
+
+    def test_context_columns_memoized_per_distinct_context(
+            self, query, clinic_profile, clinic_schema):
+        scratch = MatchScratch()
+        ContextMatcher().match(query, clinic_schema, profile=clinic_profile,
+                               scratch=scratch)
+        distinct = set(clinic_profile.context_terms.values())
+        assert len(scratch.columns("context")) == len(distinct)
+        assert len(distinct) < len(clinic_profile.element_paths)
+
+
+class TestSharedStateUnderContention:
+    """The column memo and the lazy drill-in are shared between threads
+    (``match_workers`` > 1, concurrent HTTP readers); racing fills must
+    leave every reader with the cold path's values."""
+
+    THREADS = 8
+
+    def _run_threads(self, work):
+        errors = []
+
+        def guarded(i):
+            try:
+                work(i)
+            except BaseException as exc:  # reported by the assert below
+                errors.append(exc)
+                raise
+
+        threads = [threading.Thread(target=guarded, args=(i,))
+                   for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_shared_scratch_gives_cold_values(self):
+        schemas = _generated_schemas()
+        profiles = {schema_id: SchemaMatchProfile.build(schema)
+                    for schema_id, schema in schemas.items()}
+        ensemble = MatcherEnsemble.default()
+        query = parse_query(keywords="name date site species employee "
+                                     "patient height")
+        cold = {schema_id: ensemble.match(query, schema).combined
+                for schema_id, schema in schemas.items()}
+        scratch = MatchScratch()
+        order = list(schemas)
+
+        def work(i):
+            for schema_id in order[i::2] + order[:i]:
+                fast = ensemble.match(query, schemas[schema_id],
+                                      profile=profiles[schema_id],
+                                      scratch=scratch).combined
+                _assert_same_matrix(fast, cold[schema_id])
+
+        self._run_threads(work)
+
+    def test_concurrent_drill_in_reads_agree(self, clinic_schema,
+                                             clinic_profile):
+        query = QueryGraph.build(keywords=PAPER_KEYWORDS)
+        combined = MatcherEnsemble.default().match(query,
+                                                   clinic_schema).combined
+        expected = [(row, col, value)
+                    for row, col, value in combined.nonzero_pairs(0.25)]
+        assert expected
+        lazy = SearchResult(
+            schema_id=1, name="clinic", score=1.0, match_count=1,
+            entity_count=3, attribute_count=12,
+            match_cells=(combined.row_labels, combined.col_labels,
+                         *combined.cells_above(0.25)))
+        seen = [None] * self.THREADS
+
+        def work(i):
+            seen[i] = [(m.query_label, m.element_path, m.score)
+                       for m in lazy.element_matches]
+
+        self._run_threads(work)
+        assert seen == [expected] * self.THREADS
