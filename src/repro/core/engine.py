@@ -692,10 +692,15 @@ class SchemrEngine:
                 "schema source circuit is open",
                 breaker=breaker.name, retry_after=breaker.retry_after())
         profile: SchemaMatchProfile | None = None
+        candidate: Schema | None = None
         try:
             if self._get_profile is not None:
+                # One store lookup per candidate: the profile carries
+                # its schema.
                 profile = self._get_profile(hit.doc_id)
-            candidate = self._source.get_schema(hit.doc_id)
+                candidate = profile.schema
+            if candidate is None:
+                candidate = self._source.get_schema(hit.doc_id)
         except Exception as exc:
             breaker.record_failure()
             self._m_source_failures.inc()

@@ -37,7 +37,6 @@ from repro.matching.name import NameMatcher
 from repro.matching.ngram import (
     dice_similarity,
     ngrams,
-    warm_gram_cache,
     weighted_gram_profile,
     weighted_ngram_similarity,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "expand_abbreviations",
     "ngrams",
     "normalize_name",
-    "warm_gram_cache",
     "weighted_gram_profile",
     "weighted_ngram_similarity",
 ]

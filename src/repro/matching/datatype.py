@@ -12,6 +12,7 @@ entity, score 0 — the matcher abstains rather than guessing.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.matching.base import Matcher, SimilarityMatrix
@@ -60,8 +61,12 @@ _CROSS_FAMILY: dict[frozenset[str], float] = {
 _PARAMS = re.compile(r"\(.*\)$")
 
 
+@lru_cache(maxsize=1 << 12)
 def type_family(declared: str) -> str | None:
-    """Map a declared type string to its family, or None when unknown."""
+    """Map a declared type string to its family, or None when unknown.
+
+    Memoized: a corpus repeats a small set of declared types.
+    """
     cleaned = _PARAMS.sub("", declared.strip().lower()).strip()
     if not cleaned:
         return None

@@ -11,7 +11,10 @@ catches prefix abbreviations like ``pat`` vs ``patient`` on its own).
 
 from __future__ import annotations
 
-from repro.text.splitter import split_words_lower
+import sys
+from typing import Iterable
+
+from repro.text.splitter import split_lower_cached, split_words_lower
 
 #: Unambiguous schema-name abbreviations -> expansions.
 ABBREVIATIONS: dict[str, str] = {
@@ -66,7 +69,7 @@ ABBREVIATIONS: dict[str, str] = {
 }
 
 
-def expand_abbreviations(words: list[str]) -> list[str]:
+def expand_abbreviations(words: Iterable[str]) -> list[str]:
     """Replace each known abbreviation with its expansion words."""
     out: list[str] = []
     for word in words:
@@ -103,3 +106,35 @@ def normalize_words(name: str, expand: bool = True) -> list[str]:
     if expand:
         words = expand_abbreviations(words)
     return words
+
+
+#: Process-wide memo of :func:`analyzed_name`, a plain dict cleared
+#: when it reaches its bound (a corpus repeats a few thousand distinct
+#: element names across all its schemas).
+_NAME_CACHE: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+_NAME_CACHE_MAX = 1 << 15
+#: Longer names are analyzed but not memoized, which keeps the entry
+#: bound a memory bound.
+_NAME_CACHE_MAX_TEXT = 64
+
+
+def analyzed_name(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(expanded, plain)`` :func:`normalize_words` of ``name``, memoized.
+
+    The tuples and their interned words are shared by every caller (and
+    every schema profile) that analyzes the same name.  When no word is
+    an abbreviation, the plain tuple is the expanded tuple.
+    """
+    hit = _NAME_CACHE.get(name)
+    if hit is None:
+        plain = split_lower_cached(name)
+        expanded = tuple(sys.intern(word)
+                         for word in expand_abbreviations(plain))
+        if expanded == plain:
+            expanded = plain
+        hit = (expanded, plain)
+        if len(name) <= _NAME_CACHE_MAX_TEXT:
+            if len(_NAME_CACHE) >= _NAME_CACHE_MAX:
+                _NAME_CACHE.clear()
+            _NAME_CACHE[name] = hit
+    return hit

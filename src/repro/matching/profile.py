@@ -8,19 +8,22 @@ transitive closure.  A :class:`SchemaMatchProfile` computes all of those
 artifacts exactly once — at index/ingest time — so a query's match phase
 collapses to dict lookups plus arithmetic:
 
-* analyzed element words (abbreviation-expanded and plain) per element;
-* weighted n-gram profiles for every distinct word and squashed name
-  (seeded into the process-wide gram cache, see
-  :func:`repro.matching.ngram.warm_gram_cache`);
+* analyzed element words (abbreviation-expanded and plain) per element,
+  shared with every other profile through the process-wide name memo
+  (:func:`repro.matching.normalize.analyzed_name`);
 * neighboring-element context term sets per element;
 * the undirected entity adjacency map and the FK transitive closure
   (component map) feeding :class:`~repro.scoring.neighborhood.NeighborhoodIndex`;
 * declared-type families and per-entity attribute word sets for the
   datatype and structure matchers.
 
+N-gram profiles are not part of it: the name matcher takes them from
+the process-wide gram cache (:func:`repro.matching.ngram.weighted_gram_profile`)
+on first comparison.
+
 :class:`ProfileStore` is the serving side: an LRU read-through cache of
-``(schema, profile)`` pairs fronting any ``SchemaSource``, so a candidate
-fetched (and profiled) for one query is free for the next.  The
+profiles (each carrying its schema) fronting any ``SchemaSource``, so a
+candidate fetched (and profiled) for one query is free for the next.  The
 repository invalidates entries on ``update_schema``/``delete_schema``
 and the changelog-driven :class:`~repro.repository.indexer.RepositoryIndexer`
 rebuilds them on refresh.
@@ -42,8 +45,7 @@ from typing import TYPE_CHECKING, Protocol
 from repro.errors import RepositoryError, SchemaError
 from repro.matching.base import LabelAxis
 from repro.matching.datatype import type_family
-from repro.matching.ngram import warm_gram_cache, weighted_gram_profile
-from repro.matching.normalize import normalize_words
+from repro.matching.normalize import analyzed_name
 from repro.model.graph import entity_adjacency
 from repro.model.schema import Schema
 from repro.scoring.neighborhood import NeighborhoodIndex, entity_components
@@ -59,7 +61,8 @@ class SchemaMatchProfile:
     All fields are derived purely from the schema, so a profile is valid
     until the schema changes (the repository invalidates on mutation).
     The profile is serializable (:meth:`to_dict` / :meth:`from_dict`) so
-    offline indexers can persist it next to the index segment.
+    offline indexers can persist it next to the index segment; the
+    :attr:`schema` reference is not serialized.
     """
 
     schema_id: int | None
@@ -84,9 +87,9 @@ class SchemaMatchProfile:
     type_families: dict[str, str | None]
     #: entity -> union of its attributes' words (structure matcher).
     entity_attr_words: dict[str, frozenset[str]]
-    #: distinct word / squashed name -> (gram set, total weight); the
-    #: ingest-time half of the weighted n-gram similarity.
-    word_grams: dict[str, tuple[frozenset[str], float]]
+    #: The schema the profile was built from, so one store lookup
+    #: yields both (None for a deserialized profile; not serialized).
+    schema: Schema | None = field(default=None, repr=False, compare=False)
     #: Lazily rehydrated NeighborhoodIndex (not serialized).
     _neighborhoods: NeighborhoodIndex | None = field(
         default=None, repr=False, compare=False)
@@ -97,18 +100,6 @@ class SchemaMatchProfile:
     @classmethod
     def build(cls, schema: Schema) -> "SchemaMatchProfile":
         """Derive every artifact from ``schema`` in one pass."""
-        element_paths: list[str] = []
-        entity_of: dict[str, str] = {}
-        words_expanded: dict[str, tuple[str, ...]] = {}
-        words_plain: dict[str, tuple[str, ...]] = {}
-        for ref in schema.elements():
-            path = ref.path
-            element_paths.append(path)
-            entity_of[path] = ref.entity
-            name = ref.local_name
-            words_expanded[path] = tuple(normalize_words(name, expand=True))
-            words_plain[path] = tuple(normalize_words(name, expand=False))
-
         adjacency = entity_adjacency(schema)
         component_of: dict[str, int] = {}
         components = entity_components(schema, adjacency=adjacency)
@@ -116,40 +107,43 @@ class SchemaMatchProfile:
             for entity in component:
                 component_of[entity] = component_id
 
+        element_paths: list[str] = []
+        entity_of: dict[str, str] = {}
+        words_expanded: dict[str, tuple[str, ...]] = {}
+        words_plain: dict[str, tuple[str, ...]] = {}
         context_terms: dict[str, frozenset[str]] = {}
         type_families: dict[str, str | None] = {}
         entity_attr_words: dict[str, frozenset[str]] = {}
         for entity in schema.entities.values():
+            name = entity.name
+            entity_words = analyzed_name(name)
+            element_paths.append(name)
+            entity_of[name] = name
+            words_expanded[name], words_plain[name] = entity_words
+            attr_paths: list[str] = []
             attr_words: set[str] = set()
             for attr in entity.attributes:
-                path = f"{entity.name}.{attr.name}"
-                attr_words.update(words_expanded[path])
+                path = f"{name}.{attr.name}"
+                expanded, plain = analyzed_name(attr.name)
+                element_paths.append(path)
+                entity_of[path] = name
+                words_expanded[path] = expanded
+                words_plain[path] = plain
+                attr_words.update(expanded)
                 type_families[path] = type_family(attr.data_type)
-            entity_attr_words[entity.name] = frozenset(attr_words)
+                attr_paths.append(path)
+            entity_attr_words[name] = frozenset(attr_words)
             # Every attribute of an entity shares one context set: the
             # entity's name words plus all sibling attribute words.
-            shared = frozenset(
-                set(words_expanded[entity.name]) | attr_words)
-            for attr in entity.attributes:
-                context_terms[f"{entity.name}.{attr.name}"] = shared
+            shared = frozenset(attr_words.union(entity_words[0]))
+            for path in attr_paths:
+                context_terms[path] = shared
             # The entity element additionally sees FK-adjacent entity
             # name words.
             entity_terms = set(shared)
-            for neighbor in adjacency.get(entity.name, ()):
-                entity_terms.update(words_expanded[neighbor])
-            context_terms[entity.name] = frozenset(entity_terms)
-
-        word_grams: dict[str, tuple[frozenset[str], float]] = {}
-        for table in (words_expanded, words_plain):
-            for words in table.values():
-                if not words:
-                    continue
-                for word in words:
-                    if word not in word_grams:
-                        word_grams[word] = weighted_gram_profile(word)
-                squashed = "".join(words)
-                if squashed not in word_grams:
-                    word_grams[squashed] = weighted_gram_profile(squashed)
+            for neighbor in adjacency.get(name, ()):
+                entity_terms.update(analyzed_name(neighbor)[0])
+            context_terms[name] = frozenset(entity_terms)
 
         return cls(
             schema_id=schema.schema_id,
@@ -163,7 +157,7 @@ class SchemaMatchProfile:
             component_of=component_of,
             type_families=type_families,
             entity_attr_words=entity_attr_words,
-            word_grams=word_grams,
+            schema=schema,
         )
 
     # -- fast-path accessors -------------------------------------------
@@ -215,19 +209,13 @@ class SchemaMatchProfile:
             "entity_attr_words": {
                 name: sorted(words)
                 for name, words in self.entity_attr_words.items()},
-            "word_grams": {word: [sorted(grams), weight]
-                           for word, (grams, weight)
-                           in self.word_grams.items()},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SchemaMatchProfile":
-        """Inverse of :meth:`to_dict`; re-seeds the process gram cache."""
+        """Inverse of :meth:`to_dict` (the result has no :attr:`schema`)."""
         try:
-            word_grams = {word: (frozenset(grams), float(weight))
-                          for word, (grams, weight)
-                          in data["word_grams"].items()}
-            profile = cls(
+            return cls(
                 schema_id=data["schema_id"],
                 element_paths=list(data["element_paths"]),
                 entity_of=dict(data["entity_of"]),
@@ -244,12 +232,9 @@ class SchemaMatchProfile:
                 type_families=dict(data["type_families"]),
                 entity_attr_words={name: frozenset(words) for name, words
                                    in data["entity_attr_words"].items()},
-                word_grams=word_grams,
             )
         except KeyError as exc:
             raise SchemaError(f"profile dict missing key {exc}") from exc
-        warm_gram_cache(word_grams)
-        return profile
 
 
 class MatchScratch:
@@ -294,11 +279,13 @@ class SchemaSourceLike(Protocol):  # pragma: no cover - typing only
 
 
 class ProfileStore:
-    """LRU read-through cache of (schema, match profile) pairs.
+    """LRU read-through cache of match profiles and their schemas.
 
     Fronts any ``SchemaSource``: :meth:`get_schema` satisfies the engine
     protocol from cache, falling through to the underlying source on a
-    miss; :meth:`get_profile` serves the precomputed artifacts.  The
+    miss; :meth:`get_profile` serves the precomputed artifacts, and the
+    profile's :attr:`~SchemaMatchProfile.schema` is the cached schema,
+    so one lookup (one lock, one hit or miss counted) serves both.  The
     schema and its profile live in one entry, so they can never drift
     apart.  Mutation paths call :meth:`invalidate` (repository CRUD) or
     :meth:`put` (indexer refresh) to keep the cache honest.
@@ -315,8 +302,7 @@ class ProfileStore:
         self._source = source
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[int, tuple[Schema, SchemaMatchProfile]]" \
-            = OrderedDict()
+        self._entries: "OrderedDict[int, SchemaMatchProfile]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -330,11 +316,14 @@ class ProfileStore:
         immutable; use :meth:`repro.model.schema.Schema.copy` before
         mutating.
         """
-        return self._entry(schema_id)[0]
+        schema = self._entry(schema_id).schema
+        assert schema is not None  # entries are built from schemas
+        return schema
 
     def get_profile(self, schema_id: int) -> SchemaMatchProfile:
-        """The cached match profile (read-through on miss)."""
-        return self._entry(schema_id)[1]
+        """The cached match profile (read-through on miss); its
+        :attr:`~SchemaMatchProfile.schema` is the cached schema."""
+        return self._entry(schema_id)
 
     # -- cache management ----------------------------------------------
 
@@ -348,7 +337,7 @@ class ProfileStore:
         if schema.schema_id is None:
             raise RepositoryError(
                 "cannot profile a schema without an id; store it first")
-        return self._admit(schema)[1]
+        return self._admit(schema)
 
     def invalidate(self, schema_id: int) -> bool:
         """Drop one entry; returns whether it was cached."""
@@ -397,7 +386,7 @@ class ProfileStore:
 
     # -- internals -----------------------------------------------------
 
-    def _entry(self, schema_id: int) -> tuple[Schema, SchemaMatchProfile]:
+    def _entry(self, schema_id: int) -> SchemaMatchProfile:
         with self._lock:
             entry = self._entries.get(schema_id)
             if entry is not None:
@@ -412,15 +401,13 @@ class ProfileStore:
         schema = self._source.get_schema(schema_id)
         return self._admit(schema)
 
-    def _admit(self, schema: Schema) \
-            -> tuple[Schema, SchemaMatchProfile]:
+    def _admit(self, schema: Schema) -> SchemaMatchProfile:
         profile = SchemaMatchProfile.build(schema)
-        entry = (schema, profile)
         assert schema.schema_id is not None
         with self._lock:
-            self._entries[schema.schema_id] = entry
+            self._entries[schema.schema_id] = profile
             self._entries.move_to_end(schema.schema_id)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-        return entry
+        return profile

@@ -46,7 +46,8 @@ class RepositoryIndexer:
     When a :class:`~repro.matching.profile.ProfileStore` is attached,
     every refresh also keeps match profiles in step with the changelog:
     deletes invalidate, adds/updates rebuild eagerly (the schema is
-    already in hand), so queries never pay the profile build.
+    already in hand), so queries never pay the profile build.  A batch
+    larger than the store builds only the profiles that survive it.
     """
 
     def __init__(self, repository: "SchemaRepository",
@@ -125,6 +126,7 @@ class RepositoryIndexer:
         applied = 0
         started = time.perf_counter()
         generation_before = self._index.generation
+        profiled = self._surviving_puts(final_op)
         logger.debug("indexer refresh: %d pending change(s)",
                      len(changes))
         # The whole batch applies under the index's mutation lock so a
@@ -153,7 +155,10 @@ class RepositoryIndexer:
                 schema = self._repository.get_schema(schema_id)
                 self._index.replace(document_from_schema(schema))
                 if self._profile_store is not None:
-                    self._profile_store.put(schema)
+                    if schema_id in profiled:
+                        self._profile_store.put(schema)
+                    else:
+                        self._profile_store.invalidate(schema_id)
                 applied += 1
         # The cursor moves only after the whole batch applied: a batch
         # that raised replays from the same position next refresh.
@@ -164,6 +169,24 @@ class RepositoryIndexer:
         self._record_refresh(applied, time.perf_counter() - started,
                              generation_before)
         return applied
+
+    def _surviving_puts(self, final_op: dict[int, str]) -> set[int]:
+        """The add/update ids of a batch whose profiles outlive it.
+
+        Puts move an entry to the LRU end, so once a batch has put
+        ``capacity`` profiles, the store holds exactly the last
+        ``capacity`` of them in put order; every earlier build would
+        be evicted before the batch ends.  Building only these (and
+        invalidating the stale entries of the rest) leaves the store
+        with the same ids in the same order as putting every one.  (A
+        schema deleted while the batch applies can leave it one entry
+        short; the next lookup reads that one through.)
+        """
+        if self._profile_store is None:
+            return set()
+        puts = [schema_id for schema_id, op in final_op.items()
+                if op != "delete"]
+        return set(puts[-self._profile_store.capacity:])
 
     def _commit_segments(self) -> None:
         """Make a segmented index durable after a batch: flush + merge.

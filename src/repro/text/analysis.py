@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.text.splitter import split_identifier
-from repro.text.stemmer import porter_stem
+from repro.text.splitter import split_lower_cached
+from repro.text.stemmer import cached_stem
 from repro.text.stopwords import is_stopword
 
 
@@ -42,16 +42,19 @@ class Analyzer:
     max_length: int = 64
 
     def analyze(self, text: str) -> list[str]:
-        """Produce the term list for one piece of text."""
+        """Produce the term list for one piece of text.
+
+        Splits and stems come from process-wide memos; the returned list
+        is always a fresh one, so callers may extend it.
+        """
         terms: list[str] = []
-        for word in split_identifier(text):
-            token = word.lower()
+        for token in split_lower_cached(text):
             if self.remove_stopwords and is_stopword(token):
                 continue
             if not (self.min_length <= len(token) <= self.max_length):
                 continue
             if self.stem:
-                token = porter_stem(token)
+                token = cached_stem(token)
             if token:
                 terms.append(token)
         return terms

@@ -10,6 +10,7 @@ boundaries, which is what lets the name matcher relate ``pat_ht`` to
 from __future__ import annotations
 
 import re
+import sys
 
 #: Characters treated as hard word delimiters inside identifiers.
 _DELIMITERS = re.compile(r"[\s_\-./:,;|#@()\[\]{}'\"`~!?&*+=<>\\$%^]+")
@@ -49,3 +50,31 @@ def split_identifier(identifier: str) -> list[str]:
 def split_words_lower(identifier: str) -> list[str]:
     """Split and lowercase in one step (the common caller need)."""
     return [word.lower() for word in split_identifier(identifier)]
+
+
+#: Process-wide memo of :func:`split_lower_cached`, in the style of the
+#: n-gram cache: a plain dict, cleared when it reaches its bound.
+#: Element names and schema terms repeat across a corpus, so ingest,
+#: profile builds and query analysis split each distinct one once.
+_SPLIT_CACHE: dict[str, tuple[str, ...]] = {}
+_SPLIT_CACHE_MAX = 1 << 16
+#: Longer texts (free-text descriptions) are split but not memoized:
+#: they rarely repeat, and the entry bound is only a memory bound while
+#: keys stay short.
+_SPLIT_CACHE_MAX_TEXT = 64
+
+
+def split_lower_cached(identifier: str) -> tuple[str, ...]:
+    """Memoized :func:`split_words_lower` as a tuple of interned words.
+
+    The tuple is shared between callers; copy it before mutating.
+    """
+    words = _SPLIT_CACHE.get(identifier)
+    if words is None:
+        words = tuple(sys.intern(word)
+                      for word in split_words_lower(identifier))
+        if len(identifier) <= _SPLIT_CACHE_MAX_TEXT:
+            if len(_SPLIT_CACHE) >= _SPLIT_CACHE_MAX:
+                _SPLIT_CACHE.clear()
+            _SPLIT_CACHE[identifier] = words
+    return words

@@ -175,3 +175,22 @@ def porter_stem(word: str) -> str:
     word = _step5a(word)
     word = _step5b(word)
     return word
+
+
+#: Process-wide memo of :func:`cached_stem`: token -> stem, a plain
+#: dict cleared when it reaches its bound.  Tokens arrive through the
+#: analyzer's length filter (64 characters by default), so the entry
+#: bound is a memory bound.
+_STEM_CACHE: dict[str, str] = {}
+_STEM_CACHE_MAX = 1 << 16
+
+
+def cached_stem(word: str) -> str:
+    """Memoized :func:`porter_stem` (tokens repeat across a corpus)."""
+    stem = _STEM_CACHE.get(word)
+    if stem is None:
+        stem = porter_stem(word)
+        if len(_STEM_CACHE) >= _STEM_CACHE_MAX:
+            _STEM_CACHE.clear()
+        _STEM_CACHE[word] = stem
+    return stem

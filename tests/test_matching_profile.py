@@ -120,7 +120,9 @@ class TestSchemaMatchProfile:
         assert restored.component_of == clinic_profile.component_of
         assert restored.type_families == clinic_profile.type_families
         assert restored.entity_attr_words == clinic_profile.entity_attr_words
-        assert restored.word_grams == clinic_profile.word_grams
+        # The schema reference stays in process.
+        assert clinic_profile.schema is not None
+        assert restored.schema is None
 
     def test_round_trip_is_json_safe(self, clinic_profile):
         import json
@@ -212,6 +214,31 @@ class TestProfileStore:
     def test_bad_capacity_rejected(self):
         with pytest.raises(RepositoryError):
             ProfileStore(DictSchemaSource({}), capacity=0)
+
+    def test_profile_carries_its_schema(self):
+        source = _CountingSource(_schemas_by_id())
+        store = ProfileStore(source)
+        profile = store.get_profile(1)
+        assert profile.schema is store.get_schema(1)
+        assert source.calls == 1
+
+    def test_one_counted_lookup_per_candidate(self):
+        """A cold search counts exactly one store lookup (a miss) per
+        phase-1 candidate; the schema comes with the profile."""
+        schemas = _schemas_by_id()
+        index = InvertedIndex()
+        for schema in schemas.values():
+            index.add(document_from_schema(schema))
+        source = _CountingSource(schemas)
+        store = ProfileStore(source)
+        engine = SchemrEngine(index=index, source=store)
+        engine.search(keywords="patient name date species")
+        candidates = engine.last_profile.candidate_count
+        assert candidates == len(schemas)
+        assert store.hits + store.misses == candidates
+        assert store.misses == candidates and source.calls == candidates
+        engine.search(keywords="patient name date")  # warm: all hits
+        assert store.hits == engine.last_profile.candidate_count
 
 
 def _build_engine(config=None, profiled=False):

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.matching.profile import ProfileStore
+from repro.matching.profile import ProfileStore, SchemaMatchProfile
 from repro.repository.indexer import RepositoryIndexer
 from repro.repository.store import SchemaRepository
 
@@ -81,6 +81,55 @@ class TestProfileSync:
             indexer = RepositoryIndexer(repo, profile_store=store)
             indexer.refresh()
             assert schema_id in store  # built before any query asks
+
+    def test_refresh_builds_only_surviving_profiles(self, monkeypatch):
+        """A batch of more adds/updates than the store holds builds
+        exactly ``capacity`` profiles and leaves the store as putting
+        every one would: same ids, same LRU order, no stale entry."""
+        capacity = 3
+        with SchemaRepository.in_memory() as repo:
+            first = build_clinic_schema("clinic_0")
+            repo.add_schema(first)
+            second_id = repo.add_schema(build_hr_schema())
+            store = ProfileStore(repo, capacity=capacity)
+            indexer = RepositoryIndexer(repo, profile_store=store)
+            indexer.refresh()
+            eager = ProfileStore(repo, capacity=capacity)
+            for schema_id in (first.schema_id, second_id):
+                eager.put(repo.get_schema(schema_id))
+
+            first.name = "clinic_renamed"
+            repo.update_schema(first)
+            batch = [first.schema_id]
+            for i in range(1, 7):
+                batch.append(repo.add_schema(build_clinic_schema(
+                    f"clinic_{i}")))
+                if i == 2:
+                    repo.delete_schema(second_id)
+            assert len(batch) > capacity
+
+            built = []
+            build = SchemaMatchProfile.build.__func__
+
+            def counting_build(cls, schema):
+                built.append(schema.schema_id)
+                return build(cls, schema)
+
+            monkeypatch.setattr(SchemaMatchProfile, "build",
+                                classmethod(counting_build))
+            indexer.refresh()
+            assert built == batch[-capacity:]
+            for schema_id in batch:
+                eager.put(repo.get_schema(schema_id))
+                if schema_id == batch[2]:
+                    eager.invalidate(second_id)
+            assert list(store._entries) == list(eager._entries)
+            for schema_id in list(eager._entries):
+                assert store.get_profile(schema_id) == \
+                    eager.get_profile(schema_id)
+                assert store.get_schema(schema_id).name == \
+                    eager.get_schema(schema_id).name
+            assert first.schema_id not in store  # no stale entry kept
 
     def test_update_via_changelog_refreshes_profile(self):
         with SchemaRepository.in_memory() as repo:
